@@ -1,18 +1,23 @@
-"""Supervision overhead — supervised pool vs bare pool, fault-free.
+"""Supervision overhead — supervised vs bare dispatch, fault-free.
 
 The supervised worker pool (``repro.parallel.supervisor``) adds
-per-shard deadlines, heartbeat threads, retry bookkeeping, and
+per-task deadlines, heartbeat threads, retry bookkeeping, and
 checksummed result envelopes around every process fan-out.  All of that
-lives off the comparison hot path — on the parent's event loop and the
-workers' heartbeat threads — so the design target is <2% overhead when
-no fault fires (see the supervision section of ``docs/performance.md``).
+lives off the construction hot path — on the parent's event loop and
+the workers' heartbeat threads — so the design target is <2% overhead
+when no fault fires (see the supervision section of
+``docs/performance.md``).
 
-This benchmark measures the supervised engine against the bare pool
-(``supervised=False``) on the Fig. 13 workload at ``jobs=4``, and
-against itself at ``jobs=1`` (which runs inline on both paths — the
-supervisor must never engage), asserting byte-identical summaries and
-zero degradations.  Timings are best-of-N over calibrated samples; the
-archived report carries the measured numbers.
+This benchmark times :func:`repro.parallel.supervise` against the bare
+:meth:`repro.parallel.WorkerPool.run` on the same construction tasks —
+``compare_many``'s, one per policy of four team versions, at
+``jobs=4`` — and the engine's in-process dispatch at ``jobs=1`` against
+calling the tasks directly (the supervisor must never engage there),
+asserting identical diagrams and zero degradations.  Timings are the
+fastest of order-balanced CPU-time samples, and the overhead is the
+supervised run's extra parent CPU over the bare run's total (see
+``supervision_overhead_experiment``); the archived report carries the
+measured numbers.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.bench import (
     render_table,
     supervision_overhead_experiment,
 )
-from repro.parallel import compare_parallel
+from repro.parallel import compare_many
 from repro.synth import generate_firewall_pair
 
 
@@ -43,7 +48,7 @@ def test_bench_supervision_overhead(benchmark, report_saver, json_saver):
     json_saver(
         "supervision_overhead",
         [{"key": row.workload, **asdict(row)} for row in rows],
-        meta={"seed": 13, "engine": "repro.parallel supervised vs bare pool"},
+        meta={"seed": 13, "engine": "repro.parallel supervise vs WorkerPool.run"},
     )
     table = render_table(
         ["workload", "jobs", "bare (ms)", "supervised (ms)", "overhead (%)"],
@@ -61,8 +66,9 @@ def test_bench_supervision_overhead(benchmark, report_saver, json_saver):
     report = "\n".join(
         [
             banner(
-                "Supervision overhead: supervised pool vs bare pool, fault-free",
-                "target <2%; summaries asserted identical, zero degradations",
+                "Supervision overhead: supervise vs WorkerPool.run, fault-free",
+                "compare_many construction tasks, t=4; target <2%;"
+                " diagrams asserted identical, zero degradations",
             ),
             table,
         ]
@@ -70,9 +76,9 @@ def test_bench_supervision_overhead(benchmark, report_saver, json_saver):
     report_saver("supervision_overhead", report)
 
     size = 200 if bench_scale() == "paper" else 60
-    fw_a, fw_b = generate_firewall_pair(size, seed=13)
+    team = [*generate_firewall_pair(size, seed=13), *generate_firewall_pair(size, seed=14)]
     benchmark.pedantic(
-        lambda: compare_parallel(fw_a, fw_b, jobs=4, inline=False),
+        lambda: compare_many(team, jobs=4),
         rounds=3 if bench_scale() == "paper" else 1,
         iterations=1,
     )

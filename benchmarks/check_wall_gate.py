@@ -4,12 +4,13 @@
 Usage::
 
     python benchmarks/check_wall_gate.py CURRENT.json \
-        [--row parallel-n500-j4] [--min-speedup 2.0]
+        [--row many-t4-n500-j4] [--min-speedup 2.0]
 
-The Fig-13 acceptance bar is an *absolute* one — the sharded engine must
-beat the serial engine by ``--min-speedup`` wall-clock at ``jobs``
-workers — which the relative trajectory gate (``check_regress.py``)
-cannot express.  This check reads the named row of a trajectory JSON
+The parallel engine's acceptance bar is an *absolute* one: the cross
+comparison of four 500-rule team versions (``compare_many``, whose four
+constructions are independent tasks) must beat serial ``compare_many``
+by ``--min-speedup`` wall-clock at ``jobs=4`` — which the relative
+trajectory gate (``check_regress.py``) cannot express.  This check reads the named row of a trajectory JSON
 written by the benchmark harness and:
 
 * **fails** (exit 1) when the runner has at least ``jobs`` usable cores
@@ -41,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("current", help="trajectory JSON of the run under test")
     parser.add_argument(
         "--row",
-        default="parallel-n500-j4",
+        default="many-t4-n500-j4",
         help="key of the row carrying the wall-clock gate",
     )
     parser.add_argument(

@@ -37,13 +37,20 @@ def save_json(name: str, rows: list[dict], *, meta: dict | None = None,
     given, additionally writes the repo-root trajectory anchor
     (``BENCH_<anchor>.json``) that gets committed — but only at paper
     scale, so a quick smoke run cannot clobber the committed numbers.
+    Rows that ran more ``jobs`` than their ``effective_cores`` stay out
+    of the anchor: a core-starved measurement is no reference.
     """
     from repro.bench.trajectory import write_trajectory
 
     RESULTS_DIR.mkdir(exist_ok=True)
     path = write_trajectory(RESULTS_DIR / f"{name}.json", name, rows, meta=meta)
     if anchor and os.environ.get("REPRO_BENCH_SCALE", "paper") == "paper":
-        write_trajectory(REPO_ROOT / f"BENCH_{anchor}.json", name, rows, meta=meta)
+        anchored = [
+            row
+            for row in rows
+            if row.get("jobs", 1) <= row.get("effective_cores", row.get("jobs", 1))
+        ]
+        write_trajectory(REPO_ROOT / f"BENCH_{anchor}.json", name, anchored, meta=meta)
     return path
 
 

@@ -103,7 +103,7 @@ class ComparisonReport:
     #: The guard's budget outcome (:meth:`GuardContext.outcome`), if any.
     outcome: dict | None = field(default=None, compare=False)
     #: Degradations recorded by the supervised parallel engine: one
-    #: JSON-safe record per shard that fell back to serial in-parent
+    #: JSON-safe record per task that fell back to serial in-parent
     #: execution (``{"shard", "reason", "retries", "detail"}``).  The
     #: result stays exact — degradation is a loss of parallelism, not of
     #: coverage — but it should be visible in reports and exit codes.
@@ -135,7 +135,7 @@ class ComparisonReport:
             parts.append(f"budget exhausted on {self.exhausted}")
         if self.degradations:
             parts.append(
-                f"{len(self.degradations)} shard(s) degraded to serial execution"
+                f"{len(self.degradations)} task(s) degraded to serial execution"
             )
         return "; ".join(parts)
 

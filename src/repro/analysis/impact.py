@@ -52,7 +52,7 @@ class ChangeImpactReport:
     after: Firewall
     discrepancies: list[Discrepancy] = field(default_factory=list)
     #: Supervised-parallel degradation records (``jobs > 1`` only): one
-    #: JSON-safe dict per shard re-run serially after its worker
+    #: JSON-safe dict per task re-run serially after its worker
     #: dispatches failed.  Empty for serial and fault-free runs; the
     #: discrepancy list is exact either way.
     degradations: list[dict] = field(default_factory=list)
@@ -84,7 +84,7 @@ class ChangeImpactReport:
         lines = [f"change impact: {name_before!r} -> {name_after!r}"]
         if self.degradations:
             lines.append(
-                f"  note: {len(self.degradations)} comparison shard(s)"
+                f"  note: {len(self.degradations)} comparison task(s)"
                 " degraded to serial execution (result still exact)"
             )
         if self.is_noop:
@@ -126,9 +126,9 @@ def analyze_change(
     """Compute the impact of changing ``before`` into ``after``.
 
     The comparison runs on the hash-consed difference diagram
-    (:func:`repro.fdd.fast.compare_fast`) by default; ``jobs > 1`` shards
-    it across worker processes via :func:`repro.parallel.compare_parallel`
-    (identical cells, merged), and ``engine="reference"`` routes through
+    (:func:`repro.fdd.fast.compare_fast`) by default; ``jobs > 1``
+    constructs the two policies in worker processes via
+    :func:`repro.parallel.compare_parallel` (identical cells), and ``engine="reference"`` routes through
     the paper-literal construct/shape/compare pipeline instead.  All
     three paths produce the same report (cross-validated in the tests).
 

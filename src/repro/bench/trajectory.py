@@ -66,17 +66,16 @@ def machine_fingerprint() -> dict:
 def effective_cores() -> int:
     """CPU cores actually usable by this process.
 
-    Containers and CI runners routinely pin processes to fewer cores
-    than ``os.cpu_count()`` reports; the scheduler affinity mask is the
-    honest number.  Parallel benchmark rows record this so a wall-clock
-    speedup measured on a box with fewer cores than workers is
-    recognizably unwinnable (see :func:`compare_trajectories`'s
-    ``wall_speedups``).
+    The same count as :func:`repro.parallel.default_jobs` (the
+    scheduler affinity mask, not ``os.cpu_count()``, which over-counts
+    on pinned containers and CI runners).  Parallel benchmark rows
+    record it so a wall-clock speedup measured on a box with fewer cores
+    than workers is recognizably unwinnable (see
+    :func:`compare_trajectories`'s ``wall_speedups``).
     """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+    from repro.parallel.engine import default_jobs
+
+    return default_jobs()
 
 
 def trajectory_payload(name: str, rows: list[dict], *, meta: dict | None = None) -> dict:

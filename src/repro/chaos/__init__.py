@@ -2,8 +2,8 @@
 
 Promotes :class:`repro.guard.FaultInjector` from an in-process test hook
 into a harness that injects faults *across the process boundary*:
-deterministic seeded scenarios SIGKILL workers mid-shard, freeze them
-past their heartbeat timeout, stall them past their shard deadline,
+deterministic seeded scenarios SIGKILL workers mid-task, freeze them
+past their heartbeat timeout, stall them past their task deadline,
 raise at armed guard sites inside workers, and corrupt pickled results
 in transit — and every scenario asserts the supervised engine's merged
 report stays byte-identical to the serial baseline.

@@ -3,22 +3,21 @@
 A :class:`ChaosAction` is a small picklable description of one fault —
 "SIGKILL yourself at the k-th visit to this guard site", "stop
 heartbeating and freeze", "corrupt your result envelope" — that the
-supervisor ships to a worker alongside the shard it targets.  The worker
-applies it via :func:`prepare_task` *before* executing the shard, by
+supervisor ships to a worker alongside the task it targets.  The worker
+applies it via :func:`prepare_task` *before* executing the task, by
 arming a per-process :class:`~repro.guard.FaultInjector` whose exception
 factory performs the fault when the armed guard site is reached
-(mid-construction, guaranteed: every shard keeps at least one rule, and
-the ``fast.rule`` site fires once per rule).
+(mid-construction, guaranteed: the ``fast.rule`` site fires once per
+rule after the first).
 
-Actions are addressed by ``(shard_index, attempt)`` through a
+Actions are addressed by ``(task_index, attempt)`` through a
 :class:`ChaosPlan`, so a scenario can fault attempt 0 and let the retry
 run clean — or fault every attempt to force a degradation.  In the
-pooled comparison pipeline the plan addresses the *construction-piece*
-dispatches (phase 1 of :func:`repro.parallel.compare_sharded` — the
-phase that owns the ``fast.rule`` site; the indices are longest-first
-dispatch order, so index 0 is the heaviest piece).  Everything is
-deterministic: the same plan against the same policies produces the
-same failures, retries, and final report.
+comparison engine the tasks are the per-policy constructions of
+:func:`repro.parallel.compare_parallel` (task 0 constructs the first
+policy, task 1 the second).  Everything is deterministic: the same plan
+against the same policies produces the same failures, retries, and
+final report.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = ["ChaosAction", "ChaosPlan", "prepare_task"]
 
 #: The guard site chaos actions arm by default: visited once per rule
 #: during a worker's FDD construction, so ``after=1`` lands the fault
-#: mid-shard (after the first rule, before the last).
+#: mid-task (after the first rule, before the last).
 DEFAULT_SITE = "fast.rule"
 
 
@@ -54,7 +53,7 @@ class ChaosAction:
         * ``"raise"`` — raise
           :class:`~repro.exceptions.FaultInjectedError` at the armed
           site (**worker-error**).
-        * ``"corrupt"`` — run the shard normally but flip one byte of
+        * ``"corrupt"`` — run the task normally but flip one byte of
           the pickled result after its checksum was computed
           (**corrupt-result**).
     """

@@ -2,12 +2,12 @@
 
 Each scenario injects one class of fault into a supervised
 :func:`repro.parallel.compare_parallel` run — a worker SIGKILLed
-mid-shard, a worker frozen past its heartbeat timeout, a shard running
+mid-task, a worker frozen past its heartbeat timeout, a task running
 past its deadline, a corrupted result envelope, an exception at an
 armed guard site, and a kill storm that exhausts every retry — and then
 checks the contract the supervisor promises:
 
-* **parity** — the merged report's canonical JSON is *byte-identical*
+* **parity** — the report's canonical JSON is *byte-identical*
   to the serial baseline (:func:`repro.fdd.fast.compare_fast` through
   :func:`repro.parallel.comparison_summary`), fault or no fault;
 * **engagement** — the fault actually happened (at least one recorded
@@ -83,8 +83,8 @@ def scenario_catalogue() -> list[ChaosScenario]:
         ChaosScenario(
             name="worker-kill",
             description=(
-                "SIGKILL the worker mid-shard (between guard visits);"
-                " the retry completes the shard"
+                "SIGKILL the worker mid-task (between guard visits);"
+                " the retry completes the task"
             ),
             actions={(0, 0): ChaosAction("kill")},
         ),
@@ -131,8 +131,8 @@ def scenario_catalogue() -> list[ChaosScenario]:
         ChaosScenario(
             name="kill-exhaust",
             description=(
-                "SIGKILL every dispatch of shard 0 until retries are"
-                " exhausted; the shard degrades to serial in-parent"
+                "SIGKILL every dispatch of task 0 until retries are"
+                " exhausted; the task degrades to serial in-parent"
                 " execution and the report says so"
             ),
             actions={
@@ -182,7 +182,7 @@ def run_scenario(
     """Run one scenario; return its JSON-safe verdict record.
 
     ``passed`` requires byte-identical parity with the serial baseline,
-    at least one observed shard failure (the fault engaged), and — for
+    at least one observed task failure (the fault engaged), and — for
     ``expect_degraded`` scenarios — a recorded degradation.
     """
     fw_a = make_firewall(seed, n_rules)
@@ -193,7 +193,6 @@ def run_scenario(
         fw_a,
         fw_b,
         jobs=jobs,
-        inline=False,
         start_method=start_method,
         supervision=scenario.config,
         chaos=ChaosPlan(scenario.actions),

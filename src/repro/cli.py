@@ -32,8 +32,9 @@ commands compose into shell checks (e.g. CI gates on policy changes).
 (see ``docs/robustness.md``): ``--deadline SECONDS`` and
 ``--max-nodes N`` bound the run, and ``--approx-fallback`` degrades to
 sampling-based comparison instead of failing when the budget trips.
-The same three commands accept ``--jobs N`` to shard the comparison
-across worker processes (they all run the same comparison underneath).
+The same three commands accept ``--jobs N`` to construct the two
+policies in parallel worker processes (they all run the same comparison
+underneath; the result is the serial engine's).
 Exit codes:
 
 * ``0`` — success (no discrepancies / equivalent / no-op change);
@@ -42,7 +43,7 @@ Exit codes:
 * ``3`` — budget exceeded and no fallback requested;
 * ``4`` — budget exceeded, approximate (sampled) report produced;
 * ``5`` — correct but degraded: the result is exact and otherwise
-  exit-0, but at least one parallel shard exhausted its retries and was
+  exit-0, but at least one parallel task exhausted its retries and was
   re-executed serially (``--jobs`` runs only; see ``repro chaos`` and
   ``docs/robustness.md``).
 """
@@ -128,27 +129,28 @@ def _add_guard_options(sub, *, fallback: bool = True) -> None:
 
 
 def _add_jobs_option(sub) -> None:
-    """``--jobs N``: shard the comparison across worker processes."""
+    """``--jobs N``: construct the two policies in worker processes."""
     sub.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
         help=(
-            "shard the comparison across N worker processes"
-            " (sharded fast engine; 1 = serial reference pipeline)"
+            "construct each policy's FDD as its own task across N"
+            " worker processes, then compare on the fast engine"
+            " (1 = serial reference pipeline)"
         ),
     )
 
 
 def _parallel_discrepancies(fw_a, fw_b, args, budget):
-    """The sharded engine behind ``--jobs``, with the fallback interplay.
+    """The parallel engine behind ``--jobs``, with the fallback interplay.
 
     Returns ``(discrepancies, approximate, coverage, degradations)``.  A
     budget trip either propagates (exit code 3 via the central handler)
     or — under ``--approx-fallback`` — degrades to the sampling
     comparator exactly as the serial path does.  ``degradations`` lists
-    shards the supervisor re-ran serially after their worker dispatches
+    tasks the supervisor re-ran serially after their worker dispatches
     failed (the result is still exact; exit code 5 when otherwise 0).
     """
     from repro.parallel import compare_parallel
@@ -172,10 +174,10 @@ def _parallel_discrepancies(fw_a, fw_b, args, budget):
 
 
 def _warn_degraded(degradations) -> None:
-    """One stderr line per degraded shard (never pollutes stdout)."""
+    """One stderr line per degraded task (never pollutes stdout)."""
     for item in degradations:
         print(
-            f"warning: shard {item['shard']} degraded to serial execution"
+            f"warning: task {item['shard']} degraded to serial execution"
             f" ({item['reason']} after {item['retries']} attempt(s));"
             " result is still exact",
             file=sys.stderr,
@@ -537,7 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker processes per scenario run (default: 2)",
+        help=(
+            "worker processes per scenario run (default: 2; faults need"
+            " a worker, and 1 runs in-process)"
+        ),
     )
     chaos.add_argument(
         "--seed",

@@ -1,49 +1,47 @@
-"""Sharded parallel comparison engine (perf layer over :mod:`repro.fdd.fast`).
+"""Parallel comparison by per-policy construction fan-out.
 
-Partitions the comparison product walk by the root field's edge
-partition and fans the shards out across worker processes; per-shard
-results merge exactly (disputed counts and per-decision-pair volumes
-are identical to the serial engine's).  :func:`compare_many` runs the
-Section 7.3 cross comparison of ``t`` team versions concurrently, one
-pair per task.  See :mod:`repro.parallel.engine` for the merge argument
-and guard-budget propagation rules, and ``docs/performance.md`` for
-measured numbers.
+Construction is ~99 % of a comparison and the only independent work in
+the paper's pipeline, so that is what fans out: one supervised pool task
+per policy builds its FDD, and the parent interns the returned roots
+into one store and runs the difference walk, counting and enumeration
+serially — every number is the serial engine's.
+:func:`compare_parallel` fans out the two sides of a pair;
+:func:`compare_many` fans out the ``t`` team versions of Section 7.3's
+cross comparison and walks the ``t(t-1)/2`` pairs in the parent.  See
+:mod:`repro.parallel.engine` for guard-budget propagation and
+``docs/performance.md`` for measured numbers.
 
 Process fan-out is crash-resilient: dispatch runs through
-:func:`supervise` (per-shard deadlines, heartbeat hang detection,
-bounded retry with backoff, checksummed result envelopes), and a shard
+:func:`supervise` (per-task deadlines, heartbeat hang detection,
+bounded retry with backoff, checksummed result envelopes), and a task
 whose retries are exhausted degrades to serial in-parent execution,
-recorded as a :class:`Degradation` on the merged result — see
+recorded as a :class:`Degradation` on the result — see
 ``docs/robustness.md`` for the state machine.
 
 Workers live in a persistent, lazily-started pool
 (:mod:`repro.parallel.pool`) shared by every fan-out in the process —
-comparison shards, ``compare_many`` pairs, audit fleets, and batch
-classification all lease from the same :class:`WorkerPool`, amortizing
-process start cost across calls.  Large shared inputs (node-graph
-snapshots, compiled matchers) are published to the pool once per call
-and shipped to each worker at most once, via shared memory when the
-platform provides it.  :func:`shutdown_pools` tears the workers down
-gracefully (the CLI calls it on exit); :func:`get_pool` exposes the
-pool for stats and warm-up.
+comparison constructions, audit fleets, and batch classification all
+lease from the same :class:`WorkerPool`, amortizing process start cost
+across calls.  :func:`shutdown_pools` tears the workers down gracefully
+(the CLI calls it on exit); :func:`get_pool` exposes the pool for stats
+and warm-up.
 
-:func:`classify_parallel` reuses the same fan-out for serving-side
-batch classification: workers receive a published compiled matcher
-snapshot (:mod:`repro.classify`), never policy sources.
+:func:`classify_parallel` reuses the pool for serving-side batch
+classification: the compiled matcher is published once per call as a
+snapshot (shared memory when the platform provides it) and shipped to
+each worker at most once, so tasks carry only a snapshot id and a
+packet slice.
 """
 
 from repro.parallel.classify import classify_parallel
 from repro.parallel.engine import (
+    ConstructionResult,
     PairComparison,
     ParallelComparison,
-    ShardResult,
     compare_many,
     compare_parallel,
-    compare_sharded,
     comparison_summary,
     default_jobs,
-    plan_shards,
-    restrict_to_shard,
 )
 from repro.parallel.pool import WorkerPool, get_pool, shutdown_pools
 from repro.parallel.supervisor import (
@@ -54,22 +52,19 @@ from repro.parallel.supervisor import (
 )
 
 __all__ = [
+    "ConstructionResult",
     "Degradation",
     "PairComparison",
     "ParallelComparison",
     "ShardFailure",
-    "ShardResult",
     "SupervisorConfig",
     "WorkerPool",
     "classify_parallel",
     "compare_many",
     "compare_parallel",
-    "compare_sharded",
     "comparison_summary",
     "default_jobs",
     "get_pool",
-    "plan_shards",
-    "restrict_to_shard",
     "shutdown_pools",
     "supervise",
 ]

@@ -9,10 +9,10 @@ the snapshot on first use and cache it until the parent retires it,
 and each worker rebuilds its vectorized batch kernel locally (the
 kernel is a derived cache and deliberately never pickles).
 
-The fan-out reuses the comparison engine's pool runner, so deadline
+The fan-out runs on the persistent pool's runner, so deadline
 checkpoints of a parent guard are honoured while waiting on workers.
-On a single-core box (or for batches below ``jobs`` packets) the call
-degrades to one in-process chunk without touching the pool.
+With ``jobs=1`` (or a batch of fewer than two packets) the call
+classifies in one in-process chunk without touching the pool.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def classify_parallel(
     *,
     jobs: int | None = None,
     start_method: str | None = None,
-    inline: bool | None = None,
     guard: GuardContext | None = None,
 ) -> list[Decision]:
     """Classify a batch across ``jobs`` worker processes.
@@ -61,18 +60,15 @@ def classify_parallel(
     Splits the batch into ``jobs`` contiguous chunks, publishes the
     compiled artifact to the pool once, and concatenates the per-chunk
     decisions — the result is elementwise identical to
-    ``matcher.classify_batch``.  ``jobs`` defaults to the CPU count;
-    ``inline=True`` forces in-process execution (``None`` lets chunk
-    count decide, exactly like the comparison engine); ``guard`` is
-    checkpointed while awaiting workers so parent deadlines and
-    cancellation still bite.
+    ``matcher.classify_batch``.  ``jobs`` defaults to the usable cores,
+    and a single chunk runs in-process; ``guard`` is checkpointed while
+    awaiting workers so parent deadlines and cancellation still bite.
     """
     if not isinstance(packets, (list, tuple)):
         packets = list(packets)
     jobs = default_jobs() if jobs is None else max(1, jobs)
     chunks = max(1, min(jobs, len(packets)))
-    run_inline = (chunks <= 1) if inline is None else bool(inline)
-    if run_inline or chunks <= 1:
+    if chunks <= 1:
         return matcher.classify_batch(packets)
     pool = get_pool(start_method)
     snapshot_id = pool.publish_snapshot(matcher)

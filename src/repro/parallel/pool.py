@@ -1,31 +1,27 @@
-"""Persistent worker pools with shared comparison snapshots.
+"""Persistent worker pools with published snapshots.
 
-The original fan-out built a fresh ``multiprocessing.Pool`` for every
-comparison and tore it down afterwards — on the Fig. 13 workload the
-fork/teardown cost alone rivalled the shard work, and every task
-re-shipped (and re-constructed) its inputs.  This module replaces that
-with one lazily-started :class:`WorkerPool` per start method, reused
-across every comparison in the process:
+One lazily-started :class:`WorkerPool` per start method is reused by
+every fan-out in the process — comparison constructions
+(:mod:`repro.parallel.engine`), audit fleets, and batch classification —
+so process start cost is paid once per process, not once per call:
 
 * **Persistent workers.**  Workers run :func:`_pool_worker_loop`
   forever, executing tasks shipped as ``(function, task)`` pairs over a
   duplex pipe.  The pool is lazily spawned on first use, grows up to the
-  requested ``jobs``, and survives across ``compare_sharded`` /
-  ``compare_parallel`` / ``compare_many`` / ``classify_parallel`` calls
-  — the spawn cost is paid once per process, not once per comparison
-  (see the amortization model in ``docs/performance.md``).
-* **Published snapshots.**  Large shared inputs — a comparison's
-  composed node-store diagrams, a compiled classifier artifact — are
-  published once per comparison via :meth:`WorkerPool.publish_snapshot`
-  (a ``multiprocessing.shared_memory`` segment when available, an
+  requested ``jobs``, and survives across calls (see the amortization
+  model in ``docs/performance.md``).
+* **Published snapshots.**  A large shared input — the compiled
+  classifier artifact of :func:`repro.parallel.classify_parallel` — is
+  published once per call via :meth:`WorkerPool.publish_snapshot` (a
+  ``multiprocessing.shared_memory`` segment when available, an
   inline-bytes pipe message otherwise) and shipped to each worker at
   most once; tasks then carry only a snapshot id.  Workers resolve and
   deserialize lazily (:func:`resolve_snapshot`) and cache the object
   until the parent retires the snapshot.
 * **Event-driven waiting.**  :meth:`WorkerPool.run` (the unsupervised
   fan-out) blocks on ``multiprocessing.connection.wait`` over the worker
-  pipes instead of polling ``AsyncResult.ready()`` in a sleep loop, so
-  the parent no longer burns a core the shards need.
+  pipes instead of polling in a sleep loop, so the parent never burns a
+  core the tasks need.
 * **Graceful completion.**  On success workers are *released* back to
   the pool, never terminated — SIGTERM-on-success used to truncate
   coverage/profiling atexit hooks in workers under CI.  Workers are
@@ -36,7 +32,7 @@ across every comparison in the process:
 
 Heartbeats (used by the supervisor's hang detection) are sent only while
 a worker is executing a task, so an idle pooled worker never floods its
-pipe between comparisons.
+pipe between calls.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ __all__ = [
     "get_pool",
     "shutdown_pools",
     "resolve_snapshot",
-    "register_derived_cache",
 ]
 
 #: Raw published snapshot data, per process: ``id -> (kind, data)`` where
@@ -69,23 +64,9 @@ _SNAPSHOT_DATA: dict[str, tuple[str, object]] = {}
 #: Lazily deserialized snapshot objects, per process.
 _SNAPSHOT_OBJECTS: dict[str, object] = {}
 
-#: Consumer-registered caches keyed by snapshot id (e.g. the comparison
-#: engine's per-snapshot node stores); entries are evicted when the
-#: snapshot is retired, so derived state cannot outlive its source.
-_DERIVED_CACHES: list[dict] = []
-
-
-def register_derived_cache(cache: dict) -> dict:
-    """Register a ``{snapshot_id: ...}`` cache for retire-time eviction."""
-    _DERIVED_CACHES.append(cache)
-    return cache
-
-
 def _drop_snapshot(snapshot_id: str) -> None:
     _SNAPSHOT_DATA.pop(snapshot_id, None)
     _SNAPSHOT_OBJECTS.pop(snapshot_id, None)
-    for cache in _DERIVED_CACHES:
-        cache.pop(snapshot_id, None)
 
 
 def resolve_snapshot(snapshot_id: str):
@@ -164,12 +145,12 @@ def _pool_worker_loop(conn) -> None:
       anywhere on the pipe is caught.  ``action`` is an optional chaos
       action applied first (:func:`repro.chaos.prepare_task`).
     * ``("snap", id, kind, data)`` — cache a published snapshot.
-    * ``("drop", id)`` — evict a retired snapshot (and derived caches).
+    * ``("drop", id)`` — evict a retired snapshot.
     * ``None`` — exit gracefully (atexit hooks run).
 
     A daemon thread sends ``("hb", counter)`` heartbeats *only while a
     task is executing* — idle pooled workers stay silent so the pipe
-    never fills between comparisons.
+    never fills between calls.
     """
     send_lock = threading.Lock()
     busy = threading.Event()
@@ -356,8 +337,8 @@ class WorkerPool:
         the per-worker pipe message is a few bytes), falling back to
         shipping the pickled bytes inline over each worker's pipe.  The
         parent's own registry keeps the live object, so in-process
-        execution (inline mode, the degraded serial fallback) never
-        deserializes at all.
+        execution (the degraded serial fallback) never deserializes at
+        all.
         """
         if payload is None:
             payload = pickle.dumps(obj)
@@ -408,7 +389,7 @@ class WorkerPool:
         _drop_snapshot(snapshot_id)
 
     # ------------------------------------------------------------------
-    # Unsupervised fan-out (the bare pool path)
+    # Unsupervised fan-out
     # ------------------------------------------------------------------
     def run(
         self,
@@ -541,7 +522,7 @@ def get_pool(start_method: str | None = None) -> WorkerPool:
     """The process-wide persistent pool for ``start_method``.
 
     ``None`` resolves to the platform default context.  Pools are
-    created lazily, reused by every comparison, and torn down at
+    created lazily, reused by every fan-out, and torn down at
     interpreter exit (or explicitly via :func:`shutdown_pools`).
     """
     import multiprocessing as mp

@@ -1,7 +1,7 @@
 """Tests for the cross-process chaos harness (:mod:`repro.chaos`).
 
 The acceptance property of the whole robustness layer: with workers
-SIGKILLed mid-shard, hung past their deadlines, raising at armed guard
+SIGKILLed mid-task, hung past their deadlines, raising at armed guard
 sites, or returning corrupted envelopes, the supervised parallel engine
 still produces a report *byte-identical* to the serial baseline — by
 retry when possible, by recorded degradation when not — and ``jobs=1``
@@ -106,8 +106,8 @@ class TestSerialUnchanged:
 
 
 class TestBudgetAcrossRetries:
-    """A retried shard re-ticks against the *aggregate* budget: retries
-    can neither double-count a shard's spend nor outspend --max-nodes."""
+    """A retried task re-ticks against the *aggregate* budget: retries
+    can neither double-count a task's spend nor outspend --max-nodes."""
 
     def _pair(self):
         return make_firewall(51), make_firewall(52)
@@ -117,7 +117,6 @@ class TestBudgetAcrossRetries:
             fw_a,
             fw_b,
             jobs=2,
-            inline=False,
             start_method="fork",
             budget=Budget(max_nodes=10**9),
             supervision=_FAST_RETRY,
@@ -128,14 +127,13 @@ class TestBudgetAcrossRetries:
     def test_retried_shard_counts_once_against_the_aggregate(self):
         fw_a, fw_b = self._pair()
         total = self._total_nodes(fw_a, fw_b)
-        # Shard 0's first attempt dies mid-construction; its partial
+        # Task 0's first attempt dies mid-construction; its partial
         # spend dies with it and only the successful retry is ticked,
         # so a budget of exactly the fault-free total still suffices.
         result = compare_parallel(
             fw_a,
             fw_b,
             jobs=2,
-            inline=False,
             start_method="fork",
             budget=Budget(max_nodes=total),
             supervision=_FAST_RETRY,
@@ -153,7 +151,6 @@ class TestBudgetAcrossRetries:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
                 start_method="fork",
                 budget=Budget(max_nodes=total - 1),
                 supervision=_FAST_RETRY,
@@ -214,7 +211,7 @@ class TestDegradedExitCode:
         return str(path_a), str(path_b)
 
     def _degrade_every_shard(self, monkeypatch):
-        """Make every supervised dispatch fail so each shard degrades."""
+        """Make every supervised dispatch fail so each task degrades."""
         import repro.parallel as parallel_pkg
 
         real = parallel_pkg.compare_parallel
@@ -224,7 +221,6 @@ class TestDegradedExitCode:
                 return ChaosAction("kill")
 
         def chaotic(fw_a, fw_b, **kwargs):
-            kwargs.setdefault("inline", False)
             kwargs.setdefault("start_method", "fork")
             kwargs.setdefault("supervision", _FAST_RETRY)
             kwargs["chaos"] = _KillEverything()

@@ -19,28 +19,32 @@ def setup():
 
 
 class TestInline:
+    """Chunking and in-order merging.  A single chunk (``jobs=1``, or a
+    batch too small to split) classifies in-process; more chunks go
+    through the pool."""
+
     def test_matches_serial_batch(self, setup):
         matcher, packets, expected = setup
-        assert classify_parallel(matcher, packets, jobs=2, inline=True) == expected
+        assert classify_parallel(matcher, packets, jobs=1) == expected
 
     def test_uneven_chunking_preserves_order(self, setup):
         matcher, packets, expected = setup
         # 203 packets across 4 jobs: chunks of 51/51/51/50.
-        assert classify_parallel(matcher, packets, jobs=4, inline=True) == expected
+        assert classify_parallel(matcher, packets, jobs=4) == expected
 
     def test_more_jobs_than_packets(self, setup):
         matcher, packets, expected = setup
         few = packets[:3]
-        assert classify_parallel(matcher, few, jobs=8, inline=True) == expected[:3]
+        assert classify_parallel(matcher, few, jobs=8) == expected[:3]
 
     def test_empty_batch(self, setup):
         matcher, _, _ = setup
-        assert classify_parallel(matcher, [], jobs=4, inline=True) == []
+        assert classify_parallel(matcher, [], jobs=4) == []
 
     def test_iterable_input(self, setup):
         matcher, packets, expected = setup
         assert (
-            classify_parallel(matcher, iter(packets), jobs=2, inline=True)
+            classify_parallel(matcher, iter(packets), jobs=1)
             == expected
         )
 

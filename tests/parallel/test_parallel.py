@@ -1,21 +1,21 @@
-"""Tests for the sharded parallel comparison engine (:mod:`repro.parallel`).
+"""Tests for the parallel comparison engine (:mod:`repro.parallel`).
 
-The core correctness property is *summary parity*: the merged result of
-a sharded run must be byte-identical (as canonical JSON) to the serial
-engine's summary, for any shard count, including under guard budgets and
-injected faults.  Inline execution (no processes, identical math) makes
-that property-testable; small targeted tests then cover the real
-fork/spawn pools, budget aggregation, and exception transport.
+The core correctness property is *serial parity*: the engine constructs
+each policy as its own task and finishes the comparison serially in the
+parent, so every number — the canonical summary, node and path counts,
+and the discrepancy cells in order — must equal the serial engine's,
+for any ``jobs``, under guard budgets and injected faults, and under
+both fork and spawn pools.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pickle
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import (
     BudgetExceededError,
@@ -33,10 +33,8 @@ from repro.intervals import IntervalSet
 from repro.parallel import (
     compare_many,
     compare_parallel,
-    compare_sharded,
     comparison_summary,
-    plan_shards,
-    restrict_to_shard,
+    default_jobs,
 )
 from tests.conftest import brute_force_diff, firewalls
 
@@ -76,51 +74,22 @@ def canonical(summary: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Shard planning
+# Usable cores
 # ----------------------------------------------------------------------
 
 
-class TestPlanShards:
-    @given(
-        firewalls(SCHEMA, max_rules=6),
-        firewalls(SCHEMA, max_rules=6),
-        st.integers(min_value=1, max_value=9),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_shards_partition_the_root_domain(self, fw_a, fw_b, jobs):
-        shards = plan_shards(fw_a, fw_b, jobs)
-        assert 1 <= len(shards) <= jobs
-        union = IntervalSet.empty()
-        for shard in shards:
-            assert not shard.is_empty()
-            assert shard.intersect(union).is_empty()
-            union = union.union(shard)
-        assert union == SCHEMA.domain(0)
-        # shards ascend in field 0
-        maxima = [shard.max() for shard in shards]
-        assert maxima == sorted(maxima)
+class TestDefaultJobs:
+    def test_counts_the_affinity_mask_not_the_machine(self, monkeypatch):
+        from repro.bench.trajectory import effective_cores
 
-    def test_mismatched_schemas_rejected(self):
-        fw = make_firewall(1)
-        other = make_firewall(2, schema=toy_schema(5, 5))
-        with pytest.raises(SchemaError):
-            plan_shards(fw, other, 2)
-
-
-class TestRestrictToShard:
-    @given(firewalls(SCHEMA, max_rules=6))
-    @settings(max_examples=40, deadline=None)
-    def test_restriction_preserves_semantics_inside_the_shard(self, fw):
-        shard = IntervalSet.span(5, 14)
-        restricted = restrict_to_shard(fw, shard)
-        for v0 in (5, 9, 14):
-            for v1 in (0, 9):
-                packet = (v0, v1, 3)
-                assert restricted(packet) == fw(packet)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_jobs() == 1
+        assert effective_cores() == 1
 
 
 # ----------------------------------------------------------------------
-# Summary parity (the tentpole property)
+# Serial parity (in-process: jobs <= 1 runs the same tasks without a pool)
 # ----------------------------------------------------------------------
 
 
@@ -128,12 +97,11 @@ class TestSummaryParity:
     @given(
         firewalls(SCHEMA, max_rules=6),
         firewalls(SCHEMA, max_rules=6),
-        st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_sharded_summary_is_byte_identical_to_serial(self, fw_a, fw_b, jobs):
+    def test_sharded_summary_is_byte_identical_to_serial(self, fw_a, fw_b):
         serial = serial_summary(fw_a, fw_b)
-        par = compare_parallel(fw_a, fw_b, jobs=jobs, inline=True)
+        par = compare_parallel(fw_a, fw_b, jobs=1)
         assert canonical(par.summary()) == canonical(serial)
 
     @given(
@@ -142,7 +110,7 @@ class TestSummaryParity:
     )
     @settings(max_examples=30, deadline=None)
     def test_disputed_count_matches_brute_force(self, fw_a, fw_b):
-        par = compare_parallel(fw_a, fw_b, jobs=3, inline=True)
+        par = compare_parallel(fw_a, fw_b, jobs=1)
         assert par.disputed_packets == len(brute_force_diff(fw_a, fw_b))
 
     @given(
@@ -152,23 +120,24 @@ class TestSummaryParity:
     @settings(max_examples=30, deadline=None)
     def test_discrepancy_volumes_match_serial(self, fw_a, fw_b):
         diff = compare_fast(fw_a, fw_b)
-        par = compare_parallel(
-            fw_a, fw_b, jobs=4, inline=True, enumerate_discrepancies=True
-        )
-        assert sum(d.size() for d in par.discrepancies) == sum(
-            d.size() for d in diff.discrepancies()
+        par = compare_parallel(fw_a, fw_b, jobs=1, enumerate_discrepancies=True)
+        assert par.discrepancies == tuple(diff.discrepancies())
+        assert (par.node_count, par.path_count) == (
+            diff.node_count(),
+            diff.path_count(),
         )
 
     def test_single_edge_collapse_is_reanchored(self):
-        # Policies that ignore field 0 entirely: the product walk collapses
-        # the root level, which over-counted shards before re-anchoring.
-        from repro.policy import ACCEPT, DISCARD, Rule
+        # Policies that ignore field 0 entirely: the product walk
+        # collapses the root level, which the engine must count over
+        # the full field-0 domain exactly as the serial engine does.
+        from repro.policy import ACCEPT, DISCARD
 
         fw_a = type(self)._const_fw(ACCEPT)
         fw_b = type(self)._const_fw(DISCARD, narrow=True)
         serial = serial_summary(fw_a, fw_b)
-        for jobs in (2, 5):
-            par = compare_parallel(fw_a, fw_b, jobs=jobs, inline=True)
+        for jobs in (1, 2):
+            par = compare_parallel(fw_a, fw_b, jobs=jobs)
             assert canonical(par.summary()) == canonical(serial)
 
     @staticmethod
@@ -180,6 +149,21 @@ class TestSummaryParity:
             rules.append(Rule.build(SCHEMA, ACCEPT, F2=(2, 4)))
         rules.append(Rule.build(SCHEMA, default))
         return Firewall(SCHEMA, rules)
+
+    def test_discrepancy_limit_truncates_in_serial_order(self):
+        fw_a, fw_b = make_firewall(13, 8), make_firewall(14, 8)
+        cells = compare_fast(fw_a, fw_b).discrepancies()
+        assert len(cells) > 2
+        par = compare_parallel(
+            fw_a, fw_b, jobs=1, enumerate_discrepancies=True, discrepancy_limit=2
+        )
+        assert par.discrepancies == tuple(cells[:2])
+
+    def test_mismatched_schemas_rejected(self):
+        fw = make_firewall(1)
+        other = make_firewall(2, schema=toy_schema(5, 5))
+        with pytest.raises(SchemaError):
+            compare_parallel(fw, other, jobs=1)
 
 
 # ----------------------------------------------------------------------
@@ -194,46 +178,34 @@ class TestGuardPropagation:
     def test_tiny_budget_trips(self):
         fw_a, fw_b = self._pair()
         with pytest.raises(BudgetExceededError) as excinfo:
-            compare_parallel(fw_a, fw_b, jobs=3, inline=True, budget=Budget(max_nodes=2))
+            compare_parallel(fw_a, fw_b, jobs=1, budget=Budget(max_nodes=2))
         assert excinfo.value.resource == "fdd-nodes"
 
     def test_aggregate_spend_is_enforced_across_shards(self):
-        # Each shard individually fits in the budget, but their sum does
-        # not: the merge-side re-ticking must trip.
+        # Each construction task individually fits in the budget, but
+        # their sum plus the parent's walk does not: the aggregate trips.
         fw_a, fw_b = self._pair()
-        unguarded = compare_parallel(fw_a, fw_b, jobs=4, inline=True,
-                                     budget=Budget(max_nodes=10**9))
-        total = unguarded.outcome["nodes_expanded"]
-        per_shard = max(
-            shard.progress["nodes_expanded"] for shard in unguarded.shards
+        unguarded = compare_parallel(
+            fw_a, fw_b, jobs=1, budget=Budget(max_nodes=10**9)
         )
-        if per_shard >= total:  # pragma: no cover - single-shard plan
-            pytest.skip("plan produced one dominant shard")
+        total = unguarded.outcome["nodes_expanded"]
+        per_task = max(task.progress["nodes_expanded"] for task in unguarded.shards)
+        assert per_task < total
         with pytest.raises(BudgetExceededError):
-            # Generous enough for the largest single shard (each worker
-            # gets the parent's remaining headroom, which shrinks as the
-            # merge re-ticks), never for the aggregate.
-            compare_sharded(
-                fw_a,
-                fw_b,
-                plan_shards(fw_a, fw_b, 4),
-                jobs=4,
-                inline=True,
-                budget=Budget(max_nodes=total - 1),
-            )
+            compare_parallel(fw_a, fw_b, jobs=1, budget=Budget(max_nodes=total - 1))
 
     def test_within_budget_outcome_aggregates_shard_spend(self):
         fw_a, fw_b = self._pair()
         par = compare_parallel(
-            fw_a, fw_b, jobs=3, inline=True, budget=Budget(max_nodes=10**9)
+            fw_a, fw_b, jobs=1, budget=Budget(max_nodes=10**9)
         )
         assert par.outcome is not None
         assert par.outcome["exhausted"] is None
-        # Inline mode constructs once on the parent guard, then re-ticks
-        # every shard's product-walk spend on merge.
-        assert par.outcome["nodes_expanded"] == par.construction.get(
-            "nodes_expanded", 0
-        ) + sum(shard.progress["nodes_expanded"] for shard in par.shards)
+        # Both constructions' spend is re-ticked on the parent, which
+        # then spends the difference walk itself.
+        construction = sum(task.progress["nodes_expanded"] for task in par.shards)
+        assert len(par.shards) == 2
+        assert construction < par.outcome["nodes_expanded"]
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
 
     def test_injected_fault_trips_like_serial(self):
@@ -251,7 +223,7 @@ class TestGuardPropagation:
         parallel_fault = FaultInjector()
         parallel_fault.arm("fast.rule", after=2)
         with pytest.raises(FaultInjectedError) as excinfo:
-            compare_parallel(fw_a, fw_b, jobs=3, inline=True, fault=parallel_fault)
+            compare_parallel(fw_a, fw_b, jobs=1, fault=parallel_fault)
         assert excinfo.value.site == "fast.rule"
 
 
@@ -264,21 +236,46 @@ class TestProcessPools:
     def _pair(self):
         return make_firewall(21, 10), make_firewall(22, 10)
 
+    def _assert_serial_parity(self, fw_a, fw_b, par):
+        diff = compare_fast(fw_a, fw_b)
+        assert canonical(par.summary()) == canonical(comparison_summary(diff))
+        assert par.discrepancies == tuple(diff.discrepancies())
+        assert (par.node_count, par.path_count) == (
+            diff.node_count(),
+            diff.path_count(),
+        )
+        assert par.failures == ()
+
     def test_fork_pool_matches_serial(self):
         fw_a, fw_b = self._pair()
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
+            fw_a, fw_b, jobs=2, start_method="fork", enumerate_discrepancies=True
         )
-        assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
+        self._assert_serial_parity(fw_a, fw_b, par)
 
     def test_spawn_pool_matches_serial(self):
         # Spawn re-imports everything in the worker: proves all shipped
-        # objects (firewalls, budgets, tasks) are truly picklable.
+        # objects (firewalls, budgets, tasks, roots) are truly picklable.
         fw_a, fw_b = self._pair()
         par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="spawn"
+            fw_a, fw_b, jobs=2, start_method="spawn", enumerate_discrepancies=True
         )
-        assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
+        self._assert_serial_parity(fw_a, fw_b, par)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    def test_summaries_identical_at_every_jobs(self, jobs, start_method):
+        fw_a, fw_b = self._pair()
+        expected = canonical(serial_summary(fw_a, fw_b))
+        par = compare_parallel(fw_a, fw_b, jobs=jobs, start_method=start_method)
+        assert canonical(par.summary()) == expected
+        assert par.failures == ()
+        team = [make_firewall(90 + i, 6) for i in range(3)]
+        many = compare_many(team, jobs=jobs, start_method=start_method)
+        for (i, j), pair in many.items():
+            diff = compare_fast(team[i], team[j])
+            assert pair.by_decisions == diff.disputed_by_decisions()
+            assert not pair.degraded
 
     def test_budget_trip_crosses_process_boundary(self):
         fw_a, fw_b = self._pair()
@@ -287,12 +284,45 @@ class TestProcessPools:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
                 start_method="fork",
                 budget=Budget(max_nodes=2),
             )
         assert excinfo.value.resource == "fdd-nodes"
         assert excinfo.value.limit == 2
+
+    def test_aggregate_budget_trips_across_processes(self):
+        # Each worker's construction fits; the aggregate does not.
+        fw_a, fw_b = self._pair()
+        total = compare_parallel(
+            fw_a, fw_b, jobs=1, budget=Budget(max_nodes=10**9)
+        ).outcome["nodes_expanded"]
+        with pytest.raises(BudgetExceededError):
+            compare_parallel(
+                fw_a,
+                fw_b,
+                jobs=2,
+                start_method="fork",
+                budget=Budget(max_nodes=total - 1),
+            )
+
+    def test_injected_fault_crosses_process_boundary(self):
+        from repro.parallel import SupervisorConfig
+
+        fw_a, fw_b = self._pair()
+        fault = FaultInjector()
+        fault.arm("fast.rule", after=2)
+        # A deterministic fault fails every worker attempt, then the
+        # serial fallback in the parent re-raises it.
+        with pytest.raises(FaultInjectedError) as excinfo:
+            compare_parallel(
+                fw_a,
+                fw_b,
+                jobs=2,
+                start_method="fork",
+                fault=fault,
+                supervision=SupervisorConfig(max_retries=0),
+            )
+        assert excinfo.value.site == "fast.rule"
 
 
 # ----------------------------------------------------------------------
@@ -301,20 +331,54 @@ class TestProcessPools:
 
 
 class TestCompareMany:
-    def test_all_pairs_match_serial(self):
-        team = [make_firewall(30 + i, 5) for i in range(4)]
-        results = compare_many(team, jobs=2, inline=True)
+    def _assert_pairs_match_serial(self, team, results):
         assert set(results) == {
-            (i, j) for i in range(4) for j in range(i + 1, 4)
+            (i, j) for i in range(len(team)) for j in range(i + 1, len(team))
         }
         for (i, j), pair in results.items():
             diff = compare_fast(team[i], team[j])
             assert pair.disputed_packets == diff.disputed_packet_count()
+            assert pair.by_decisions == diff.disputed_by_decisions()
+            assert (pair.node_count, pair.path_count) == (
+                diff.node_count(),
+                diff.path_count(),
+            )
             assert pair.equivalent() == (pair.disputed_packets == 0)
+            assert not pair.degraded
+
+    def test_all_pairs_match_serial(self):
+        team = [make_firewall(30 + i, 5) for i in range(4)]
+        self._assert_pairs_match_serial(team, compare_many(team, jobs=1))
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_pairs_match_serial(self, start_method):
+        team = [make_firewall(30 + i, 5) for i in range(4)]
+        results = compare_many(team, jobs=2, start_method=start_method)
+        self._assert_pairs_match_serial(team, results)
+
+    def test_budget_aggregates_over_constructions_and_walks(self):
+        from repro.fdd.store import NodeStore
+        from repro.guard import GuardContext
+
+        team = [make_firewall(30 + i, 5) for i in range(3)]
+        construction = 0
+        for fw in team:
+            guard = GuardContext(Budget.unlimited())
+            NodeStore().construct(fw, guard=guard)
+            construction += guard.progress()["nodes_expanded"]
+        pairs = compare_many(team, jobs=1, budget=Budget(max_nodes=10**9))
+        total = construction + sum(
+            pair.progress["nodes_expanded"] for pair in pairs.values()
+        )
+        compare_many(team, jobs=2, start_method="fork", budget=Budget(max_nodes=total))
+        with pytest.raises(BudgetExceededError):
+            compare_many(
+                team, jobs=2, start_method="fork", budget=Budget(max_nodes=total - 1)
+            )
 
     def test_needs_two_firewalls(self):
         with pytest.raises(SchemaError):
-            compare_many([make_firewall(40)], inline=True)
+            compare_many([make_firewall(40)], jobs=1)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Lifecycle tests for the persistent worker pool (:mod:`repro.parallel.pool`).
 
 The pool's contract is amortization without leaks: workers outlive any
-single comparison (start cost is paid once per process), yet a fault or
-budget trip mid-comparison must never strand a busy worker, a shared
+single call (start cost is paid once per process), yet a fault or
+budget trip mid-call must never strand a busy worker, a shared
 snapshot, or a shared-memory segment.  These tests drive the pool
-through the public engine entry points and audit its bookkeeping
-(:meth:`WorkerPool.stats`, the snapshot registry) between calls.
+through the public entry points — the comparison engine's construction
+fan-out and :func:`classify_parallel`, the snapshot publisher — and
+audit its bookkeeping (:meth:`WorkerPool.stats`, the snapshot registry)
+between calls.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.classify import compile_firewall
 from repro.exceptions import BudgetExceededError
-from repro.guard import Budget
+from repro.fields import PacketSampler
+from repro.guard import Budget, GuardContext
 from repro.parallel import (
+    classify_parallel,
     compare_many,
     compare_parallel,
     get_pool,
@@ -38,14 +43,21 @@ def _pair():
     return make_firewall(61, 10), make_firewall(62, 10)
 
 
+@pytest.fixture(scope="module")
+def batch():
+    """A compiled matcher, a packet batch, and its serial decisions."""
+    firewall = make_firewall(63, 10)
+    matcher = compile_firewall(firewall)
+    packets = PacketSampler(firewall.schema, seed=63).uniform_many(101)
+    return matcher, packets, matcher.classify_batch(packets)
+
+
 class TestPoolReuse:
     def test_workers_survive_across_comparisons(self):
         fw_a, fw_b = _pair()
         expected = canonical(serial_summary(fw_a, fw_b))
         for _ in range(3):
-            par = compare_parallel(
-                fw_a, fw_b, jobs=2, inline=False, start_method="fork"
-            )
+            par = compare_parallel(fw_a, fw_b, jobs=2, start_method="fork")
             assert canonical(par.summary()) == expected
         stats = get_pool("fork").stats()
         assert stats["spawned_total"] == 2, "pool respawned between comparisons"
@@ -54,33 +66,28 @@ class TestPoolReuse:
 
     def test_workers_survive_across_compare_many_calls(self):
         team = [make_firewall(70 + i, 6) for i in range(3)]
-        first = compare_many(team, jobs=2, inline=False, start_method="fork")
+        first = compare_many(team, jobs=2, start_method="fork")
         spawned_after_first = get_pool("fork").stats()["spawned_total"]
-        second = compare_many(team, jobs=2, inline=False, start_method="fork")
+        second = compare_many(team, jobs=2, start_method="fork")
         assert get_pool("fork").stats()["spawned_total"] == spawned_after_first
         assert {k: v.disputed_packets for k, v in first.items()} == {
             k: v.disputed_packets for k, v in second.items()
         }
 
-    def test_compare_many_publishes_one_snapshot_per_policy(self):
-        # The pair matrix must share policy snapshots: t publications
-        # for t team versions, never one per pair (t choose 2) and never
-        # a per-pair re-publish.
+    def test_compare_many_dispatches_one_construction_per_policy(self):
+        # The pair matrix shares constructions: t tasks for t team
+        # versions, never one per pair (t choose 2), and nothing is
+        # published — roots come back as task results.
         team = [make_firewall(80 + i, 6) for i in range(4)]
         pairs = len(team) * (len(team) - 1) // 2
-        results = compare_many(team, jobs=2, inline=False, start_method="fork")
+        results = compare_many(team, jobs=2, start_method="fork")
         assert len(results) == pairs
         stats = get_pool("fork").stats()
-        assert stats["snapshots_published"] == len(team), (
-            f"expected one snapshot per policy ({len(team)}), got "
-            f"{stats['snapshots_published']} — the pair matrix is "
-            "re-publishing per pair"
+        assert stats["tasks_dispatched"] == len(team), (
+            f"expected one construction task per policy ({len(team)}), got "
+            f"{stats['tasks_dispatched']}"
         )
-        # All retired afterwards: nothing leaks across calls.
-        assert not _SNAPSHOT_DATA
-        assert not _SNAPSHOT_OBJECTS
-        assert not get_pool("fork")._segments
-        # And the shared-snapshot numbers are the serial engine's.
+        assert stats["snapshots_published"] == 0
         from repro.fdd.fast import compare_fast
 
         for (i, j), pc in results.items():
@@ -89,20 +96,21 @@ class TestPoolReuse:
                 == compare_fast(team[i], team[j]).disputed_packet_count()
             )
 
-    def test_spawn_pool_parity_and_reuse(self):
-        # Spawn re-imports everything worker-side: proves snapshot
-        # payloads and tasks survive a cold interpreter, not just fork
-        # memory inheritance.
-        fw_a, fw_b = _pair()
-        expected = canonical(serial_summary(fw_a, fw_b))
+    def test_spawn_pool_parity_and_reuse(self, batch):
+        # Spawn re-imports everything worker-side: proves the published
+        # snapshot payload and its tasks resolve in a cold interpreter,
+        # not just through fork memory inheritance.
+        matcher, packets, expected = batch
         for _ in range(2):
-            par = compare_parallel(
-                fw_a, fw_b, jobs=2, inline=False, start_method="spawn"
+            assert (
+                classify_parallel(matcher, packets, jobs=2, start_method="spawn")
+                == expected
             )
-            assert canonical(par.summary()) == expected
         stats = get_pool("spawn").stats()
         assert stats["spawned_total"] == 2
         assert stats["busy"] == 0
+        assert stats["snapshots_published"] == 2
+        assert not _SNAPSHOT_DATA and not _SNAPSHOT_OBJECTS
 
 
 class TestNoLeaks:
@@ -113,7 +121,6 @@ class TestNoLeaks:
                 fw_a,
                 fw_b,
                 jobs=2,
-                inline=False,
                 start_method="fork",
                 budget=Budget(max_nodes=2),
             )
@@ -122,35 +129,38 @@ class TestNoLeaks:
         assert stats["alive"] == stats["idle"]
         # The pool remains serviceable: the next comparison is correct
         # without a restart.
-        par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
-        )
+        par = compare_parallel(fw_a, fw_b, jobs=2, start_method="fork")
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
 
-    def test_snapshots_are_retired_after_success(self):
-        fw_a, fw_b = _pair()
-        compare_parallel(fw_a, fw_b, jobs=2, inline=False, start_method="fork")
+    def test_snapshots_are_retired_after_success(self, batch):
+        matcher, packets, expected = batch
+        assert classify_parallel(matcher, packets, jobs=2, start_method="fork") == expected
+        assert get_pool("fork").stats()["snapshots_published"] == 1
         assert not _SNAPSHOT_DATA, "snapshot registry leaked entries"
         assert not _SNAPSHOT_OBJECTS, "live snapshot objects leaked"
         assert not get_pool("fork")._segments, "shared-memory segment leaked"
 
-    def test_snapshots_are_retired_after_budget_trip(self):
-        fw_a, fw_b = _pair()
+    def test_snapshots_are_retired_after_budget_trip(self, batch):
+        matcher, packets, _expected = batch
         with pytest.raises(BudgetExceededError):
-            compare_parallel(
-                fw_a,
-                fw_b,
+            classify_parallel(
+                matcher,
+                packets,
                 jobs=2,
-                inline=False,
                 start_method="fork",
-                budget=Budget(max_nodes=2),
+                # An already-expired deadline trips at the pool's first
+                # wait checkpoint, while the snapshot is in flight.
+                guard=GuardContext(Budget(deadline_s=0.0)),
             )
+        assert get_pool("fork").stats()["snapshots_published"] == 1
         assert not _SNAPSHOT_DATA
+        assert not _SNAPSHOT_OBJECTS
         assert not get_pool("fork")._segments
+        assert get_pool("fork").stats()["busy"] == 0
 
 
 class TestTransports:
-    def test_bytes_fallback_matches_shared_memory(self, monkeypatch):
+    def test_bytes_fallback_matches_shared_memory(self, monkeypatch, batch):
         # Force publish_snapshot's pickled-bytes fallback by making
         # shared-memory segment creation unavailable, exactly as on a
         # platform without /dev/shm.
@@ -160,18 +170,16 @@ class TestTransports:
             raise OSError("shared memory disabled for this test")
 
         monkeypatch.setattr(shm, "SharedMemory", _unavailable)
-        fw_a, fw_b = _pair()
-        par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
-        )
-        assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
-        assert get_pool("fork").stats()["snapshots_published"] >= 1
+        matcher, packets, expected = batch
+        assert classify_parallel(matcher, packets, jobs=2, start_method="fork") == expected
+        assert get_pool("fork").stats()["snapshots_published"] == 1
+        assert not get_pool("fork")._segments
 
 
 class TestShutdown:
     def test_shutdown_is_graceful_and_restartable(self):
         fw_a, fw_b = _pair()
-        compare_parallel(fw_a, fw_b, jobs=2, inline=False, start_method="fork")
+        compare_parallel(fw_a, fw_b, jobs=2, start_method="fork")
         pool = get_pool("fork")
         workers = list(pool._workers)
         assert workers and all(w.alive() for w in workers)
@@ -184,8 +192,6 @@ class TestShutdown:
             # atexit hooks (coverage, profilers).
             assert worker.process.exitcode == 0
         # A fresh pool lazily restarts on the next call.
-        par = compare_parallel(
-            fw_a, fw_b, jobs=2, inline=False, start_method="fork"
-        )
+        par = compare_parallel(fw_a, fw_b, jobs=2, start_method="fork")
         assert canonical(par.summary()) == canonical(serial_summary(fw_a, fw_b))
         assert get_pool("fork").stats()["alive"] == 2

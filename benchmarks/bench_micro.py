@@ -14,7 +14,8 @@ from repro.analysis.impact import analyze_change
 from repro.bench import bench_scale
 from repro.fdd import construct_fdd, generate_firewall, reduce_fdd
 from repro.fdd.canonical import semantic_fingerprint
-from repro.fdd.fast import HashConsStore, compare_fast, construct_fdd_fast
+from repro.fdd.fast import compare_fast, construct_fdd_fast
+from repro.fdd.store import NodeStore, _AtomAppender, _atom_bounds
 from repro.fields import PacketSampler
 from repro.intervals import IntervalSet
 from repro.synth import SyntheticFirewallGenerator, average_42, generate_firewall_pair
@@ -83,13 +84,16 @@ def _best_ms(work, *, rounds: int = 3) -> float:
 
 
 def test_bench_interval_kernel(benchmark, json_saver):
-    """The interned kernel vs direct interval algebra, plus the merge
-    sweeps — writes the committed trajectory anchor ``BENCH_micro.json``.
+    """The atom kernel vs direct interval algebra, plus the merge sweeps —
+    writes the committed trajectory anchor ``BENCH_micro.json``.
 
     The kernel workload replays the label-algebra mix the FDD engine
-    issues (intersect/union/subtract over a recurring label population —
-    exactly the regime the id-keyed memo exists for); the direct variant
-    runs the same calls through the raw :class:`IntervalSet` methods.
+    issues (intersect/union/subtract over a recurring label population);
+    the direct variant runs the same calls through the raw
+    :class:`IntervalSet` methods.  The atom variant pays what
+    construction pays for the same mix: cut the labels' endpoints into
+    atoms, turn each label into a bitset once, run ``&``, ``|`` and
+    ``&~``, and turn every result back into an interned label.
     """
     sets = _random_sets(120, seed=7)
     pairs = [
@@ -102,15 +106,20 @@ def test_bench_interval_kernel(benchmark, json_saver):
             a.union(b)
             a.subtract(b)
 
-    def interned():
-        store = HashConsStore()
+    def atoms():
+        kernel = _AtomAppender(
+            NodeStore(), _atom_bounds(1, ((0, s) for s in sets)), None
+        )
+        masks = {id(s): kernel.mask(0, s) for s in sets}
+        label = kernel.label
         for a, b in pairs:
-            store.intersect(a, b)
-            store.union(a, b)
-            store.subtract(a, b)
+            ma, mb = masks[id(a)], masks[id(b)]
+            for result in (ma & mb, ma | mb, ma & ~mb):
+                if result:
+                    label(0, result)
 
     direct_ms = _best_ms(direct)
-    interned_ms = _best_ms(interned)
+    atoms_ms = _best_ms(atoms)
 
     # union's linear merge sweep and from_values' run-length merge.
     union_ops = [(sets[i], sets[-1 - i]) for i in range(len(sets) // 2)] * 20
@@ -119,7 +128,7 @@ def test_bench_interval_kernel(benchmark, json_saver):
     values = [rng.randrange(0, 1 << 18) for _ in range(1 << 16)]
     from_values_ms = _best_ms(lambda: IntervalSet.from_values(values))
 
-    # Engine-level effect: one full fast comparison (shared interned store).
+    # Engine-level effect: one full fast comparison (shared store).
     size = 500
     fw_a, fw_b = generate_firewall_pair(size, seed=13)
     disputed = compare_fast(fw_a, fw_b).disputed_packet_count()
@@ -130,9 +139,9 @@ def test_bench_interval_kernel(benchmark, json_saver):
         [
             {"key": "kernel-algebra-direct", "total_ms": direct_ms},
             {
-                "key": "kernel-algebra-interned",
-                "total_ms": interned_ms,
-                "speedup_vs_direct": direct_ms / interned_ms if interned_ms else 0.0,
+                "key": "kernel-algebra-atoms",
+                "total_ms": atoms_ms,
+                "speedup_vs_direct": direct_ms / atoms_ms if atoms_ms else 0.0,
             },
             {"key": "intervalset-union-merge", "total_ms": union_ms},
             {"key": "intervalset-from-values-64k", "total_ms": from_values_ms},
@@ -145,8 +154,8 @@ def test_bench_interval_kernel(benchmark, json_saver):
         meta={"pairs": len(pairs), "seed": 7},
         anchor="micro",
     )
-    assert interned_ms < direct_ms * 1.5  # the memo must not cost more than it saves
-    benchmark(interned)
+    assert atoms_ms < direct_ms  # atoms must beat the interval sweeps they replace
+    benchmark(atoms)
 
 
 def test_bench_store_engines(benchmark, json_saver):

@@ -22,7 +22,7 @@ from repro.policy.rule import Rule
 __all__ = ["Discrepancy", "ComparisonReport", "format_discrepancy_table"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Discrepancy:
     """Packets where firewall *a* and firewall *b* disagree.
 

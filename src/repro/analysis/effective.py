@@ -154,9 +154,10 @@ def effective_rules(
     With ``engine="fast"`` (default) the partial FDD lives in a
     :class:`~repro.fdd.store.NodeStore` and appending is *functional*:
     interning makes structural equality identity, so a rule is dead iff
-    :meth:`NodeStore.append <repro.fdd.store.NodeStore.append>` returns
-    the root unchanged (``new_root is root``) — no path counting needed,
-    and shared subtrees are appended to once instead of once per path.
+    :meth:`NodeStore.partial_roots
+    <repro.fdd.store.NodeStore.partial_roots>` yields the previous root
+    unchanged (``new_root is root``) — no path counting needed, and
+    shared subtrees are appended to once instead of once per path.
     ``engine="reference"`` keeps the paper-literal mutable-tree append;
     both report identical facts (cross-validated in the test suite).
 
@@ -196,16 +197,9 @@ def effective_rules(
         root = fdd.root
     else:
         store = store if store is not None else NodeStore()
-        root = store.chain(
-            tuple(store.intern_set(s) for s in first.predicate.sets),
-            first.decision,
-        )
-        for rule in rules[1:]:
-            if guard is not None:
-                guard.checkpoint("effective.rule")
-            new_root = store.append(
-                root, rule.predicate.sets, rule.decision, guard=guard
-            )
+        roots = store.partial_roots(firewall, guard=guard, site="effective.rule")
+        root = next(roots)
+        for new_root in roots:
             effective.append(new_root is not root)
             root = new_root
         final_fdd = FDD(firewall.schema, root)

@@ -53,6 +53,8 @@ def machine_fingerprint() -> dict:
     fingerprint makes an apples-to-oranges comparison visible instead of
     silently alarming (``check_regress.py`` warns when fingerprints
     differ but still compares — CI runners are homogeneous enough).
+    ``usable_cores`` is :func:`effective_cores`, which can be fewer than
+    ``cpu_count`` on a pinned container.
     """
     return {
         "python": platform.python_version(),
@@ -60,6 +62,7 @@ def machine_fingerprint() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "usable_cores": effective_cores(),
     }
 
 

@@ -64,7 +64,7 @@ from repro.analysis import (
     run_query,
 )
 from repro.exceptions import BudgetExceededError, ParseError, ReproError
-from repro.fdd import compare_firewalls
+from repro.fdd.fast import compare_fast
 from repro.guard import Budget, GuardContext
 from repro.policy import (
     dumps,
@@ -138,7 +138,7 @@ def _add_jobs_option(sub) -> None:
         help=(
             "construct each policy's FDD as its own task across N"
             " worker processes, then compare on the fast engine"
-            " (1 = serial reference pipeline)"
+            " (1 = serial, same output)"
         ),
     )
 
@@ -171,6 +171,13 @@ def _parallel_discrepancies(fw_a, fw_b, args, budget):
         report = approximate_compare(fw_a, fw_b)
         return list(report.discrepancies), True, report.coverage, []
     return list(par.discrepancies), False, 1.0, par.degradation_report()
+
+
+def _serial_discrepancies(fw_a, fw_b, budget):
+    """Discrepancy cells from the serial store engine, cell for cell the
+    ones ``--jobs N`` enumerates, so every ``N`` prints the same table."""
+    guard = GuardContext(budget) if budget is not None else None
+    return compare_fast(fw_a, fw_b, guard=guard).discrepancies(guard=guard)
 
 
 def _warn_degraded(degradations) -> None:
@@ -627,8 +634,7 @@ def _cmd_compare(args) -> int:
         approximate = report.approximate
         coverage = report.coverage
     else:
-        guard = GuardContext(budget) if budget is not None else None
-        discs = compare_firewalls(fw_a, fw_b, guard=guard)
+        discs = _serial_discrepancies(fw_a, fw_b, budget)
     if not args.raw:
         discs = aggregate_discrepancies(discs)
     if not discs:
@@ -710,8 +716,7 @@ def _cmd_equivalent(args) -> int:
             return EXIT_APPROXIMATE
         discs = list(report.discrepancies)
     else:
-        guard = GuardContext(budget) if budget is not None else None
-        discs = compare_firewalls(fw_a, fw_b, guard=guard)
+        discs = _serial_discrepancies(fw_a, fw_b, budget)
     if discs:
         print(f"NOT equivalent: {len(aggregate_discrepancies(discs))} region(s) differ")
         return EXIT_DISCREPANCIES

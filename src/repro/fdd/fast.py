@@ -45,22 +45,15 @@ from repro.policy.firewall import Firewall
 from repro.fdd.fdd import FDD
 from repro.fdd.node import Node, TerminalNode
 from repro.fdd.passes import product_fold
-from repro.fdd.store import NodeStore, PAIRWISE_MEMO_LIMIT
+from repro.fdd.store import NodeStore
 
 __all__ = [
-    "HashConsStore",
     "NodeStore",
-    "PAIRWISE_MEMO_LIMIT",
     "construct_fdd_fast",
     "DifferenceFDD",
     "build_difference",
     "compare_fast",
 ]
-
-
-#: Backward-compatible name for the extracted store (the hash-consing
-#: machinery now lives in :mod:`repro.fdd.store`).
-HashConsStore = NodeStore
 
 
 def construct_fdd_fast(

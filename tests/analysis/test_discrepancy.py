@@ -1,5 +1,9 @@
 """Tests for discrepancy records and their rendering."""
 
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.analysis import Discrepancy, format_discrepancy_table
@@ -14,7 +18,23 @@ def disc(f1, f2, a=ACCEPT, b=DISCARD):
     return Discrepancy(SCHEMA, (IntervalSet.of(f1), IntervalSet.of(f2)), a, b)
 
 
+def _echo(value):
+    return value
+
+
 class TestDiscrepancy:
+    def test_cells_carry_no_instance_dict(self):
+        assert not hasattr(disc((0, 3), (5, 6)), "__dict__")
+
+    def test_pickle_round_trip_under_spawn(self):
+        cells = [disc((0, 3), (5, 6)), disc((7, 9), (0, 0), DISCARD, ACCEPT)]
+        assert pickle.loads(pickle.dumps(cells)) == cells
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            returned = list(pool.map(_echo, cells))
+        assert returned == cells
+        assert [cell.size() for cell in returned] == [8, 3]
+
     def test_requires_different_decisions(self):
         with pytest.raises(AssertionError):
             disc((0, 1), (0, 1), ACCEPT, ACCEPT)
